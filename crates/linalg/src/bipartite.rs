@@ -58,11 +58,12 @@ pub enum InverseScope {
     SweepOnly,
 }
 
-/// Factorization dispatch for the per-pair joint systems.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Factorization dispatch for the per-pair joint systems. Production
+/// solves always use [`FactorPath::Auto`]; the fixed variants let parity
+/// tests run both kernels at one size.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FactorPath {
     /// Dispatch by size: structured when `dim ≥ STRUCTURED_MIN_DIM`.
-    #[default]
     Auto,
     /// Always the dense Cholesky path (the pre-PR-6 behavior).
     Dense,
@@ -78,18 +79,6 @@ impl FactorPath {
             FactorPath::Auto => dim >= STRUCTURED_MIN_DIM,
             FactorPath::Dense => false,
             FactorPath::Structured => true,
-        }
-    }
-
-    /// Reads an override from `PARMA_FACTOR_PATH` (`auto` / `dense` /
-    /// `structured`, case-insensitive). Unset or unrecognized → `None`.
-    pub fn from_env() -> Option<FactorPath> {
-        let raw = std::env::var("PARMA_FACTOR_PATH").ok()?;
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(FactorPath::Auto),
-            "dense" => Some(FactorPath::Dense),
-            "structured" | "sparse" | "banded" => Some(FactorPath::Structured),
-            _ => None,
         }
     }
 }

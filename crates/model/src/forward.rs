@@ -32,8 +32,8 @@ use mea_linalg::{
 /// corresponding factor, the reduced inverse, and one scratch column, all
 /// sized for a single geometry. One workspace amortizes every
 /// per-iteration allocation of the forward factorization; it resizes
-/// itself if handed a different geometry (configuration — factor path and
-/// inverse scope — survives resizing).
+/// itself if handed a different geometry (the inverse-scope setting
+/// survives resizing).
 #[derive(Clone, Debug)]
 pub struct ForwardWorkspace {
     dim: usize,
@@ -67,7 +67,7 @@ impl ForwardWorkspace {
             col: vec![0.0; dim],
             sys: BipartiteSystem::new(),
             bip: BipartiteFactor::new(),
-            path: FactorPath::from_env().unwrap_or_default(),
+            path: FactorPath::Auto,
             sweep_only: false,
         }
     }
@@ -82,15 +82,12 @@ impl ForwardWorkspace {
         }
     }
 
-    /// Overrides the factorization dispatch (default: [`FactorPath::Auto`],
-    /// or the `PARMA_FACTOR_PATH` environment override at construction).
-    pub fn set_factor_path(&mut self, path: FactorPath) {
+    /// Pins the factorization dispatch, so the dense-vs-structured parity
+    /// tests can run both kernels at one size. Production workspaces stay
+    /// on [`FactorPath::Auto`].
+    #[cfg(test)]
+    fn set_factor_path(&mut self, path: FactorPath) {
         self.path = path;
-    }
-
-    /// The active factorization dispatch.
-    pub fn factor_path(&self) -> FactorPath {
-        self.path
     }
 
     /// Restricts *structured* refactors to the sweep-scope inverse (HH
@@ -226,9 +223,8 @@ impl ForwardSolver {
     }
 
     /// [`Self::refactor`] with an intra-solve executor and a stop
-    /// condition. The factorization path is dispatched by the workspace's
-    /// [`FactorPath`] (by default: dense below
-    /// [`mea_linalg::STRUCTURED_MIN_DIM`], structured above); the
+    /// condition. The factorization path is dispatched by size (dense
+    /// below [`mea_linalg::STRUCTURED_MIN_DIM`], structured from it on); the
     /// structured path fans its row-chunk stages out over `par` and polls
     /// `should_stop` at chunk granularity, failing with
     /// [`LinalgError::Cancelled`] mid-factorization instead of only

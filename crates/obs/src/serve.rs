@@ -22,7 +22,9 @@
 //! malformed request with a typed `400` (`parma-serve-error/v1`), never a
 //! panic. Each request renders a fresh [`crate::snapshot`], so a mid-run
 //! scrape sees exactly what the trace writer would. Shutdown is
-//! cooperative: a stop flag plus a self-connect to unblock `accept`.
+//! cooperative: a stop flag plus a self-connect to unblock `accept`, then
+//! a join of every connection still being served, so a caller that exits
+//! right after [`MetricsServer::shutdown`] never cuts a reply short.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -193,8 +195,9 @@ impl MetricsServer {
         self.addr
     }
 
-    /// Stops the listener and joins its accept thread. Idempotent.
-    /// Connections already being served finish on their own threads.
+    /// Stops the listener and joins its accept thread, which in turn joins
+    /// every connection still being served — including the one carrying
+    /// the request that asked for the shutdown. Idempotent.
     pub fn shutdown(&mut self) {
         if self.handle.is_none() {
             return;
@@ -220,26 +223,35 @@ fn serve_loop(
     meta: Arc<Vec<(String, String)>>,
     handler: Option<Arc<Handler>>,
 ) {
+    let mut connections: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let Ok((stream, _)) = listener.accept() else {
             if stop.load(Ordering::Acquire) {
-                return;
+                break;
             }
             continue;
         };
         if stop.load(Ordering::Acquire) {
-            return;
+            break;
         }
         let meta = Arc::clone(&meta);
         let handler = handler.clone();
+        connections.retain(|c| !c.is_finished());
         // One short-lived thread per connection so a slow upload never
         // blocks a concurrent scrape. If the spawn itself fails the
         // connection is simply dropped and the client retries.
-        let _ = std::thread::Builder::new()
+        if let Ok(connection) = std::thread::Builder::new()
             .name("parma-http".to_string())
             .spawn(move || {
                 let _ = handle_connection(stream, &meta, handler.as_deref());
-            });
+            })
+        {
+            connections.push(connection);
+        }
+    }
+    // Socket timeouts bound every connection, so this join is bounded too.
+    for connection in connections {
+        let _ = connection.join();
     }
 }
 
@@ -594,6 +606,44 @@ mod tests {
         server.shutdown();
         crate::set_live(false);
         crate::reset();
+    }
+
+    #[test]
+    fn shutdown_waits_for_a_pending_reply() {
+        let _g = crate::test_guard();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let body = "x".repeat(4096);
+        let reply = body.clone();
+        let handler: Arc<Handler> = Arc::new(move |_req: &Request| {
+            let _ = started_tx.send(());
+            std::thread::sleep(Duration::from_millis(300));
+            Some(Response::text(200, reply.clone()))
+        });
+        let mut server =
+            MetricsServer::start_with_handler("127.0.0.1:0", Vec::new(), handler).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .write_all(b"POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+            .unwrap();
+        started_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+
+        server.shutdown();
+        // A daemon may exit the moment `shutdown` returns, so the whole
+        // reply must already be on the wire: reading it may not wait for
+        // the handler's remaining delay.
+        stream
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let mut text = String::new();
+        stream
+            .read_to_string(&mut text)
+            .expect("reply complete when shutdown returns");
+        assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+        assert!(
+            text.ends_with(&body),
+            "truncated reply: {} bytes",
+            text.len()
+        );
     }
 
     #[test]

@@ -96,22 +96,22 @@ impl BatchSolver {
         let solver = ParmaSolver::new(self.config);
         let budget = ThreadBudget::split(self.threads, measurements.len());
         let pool = WorkStealingPool::new(budget.outer);
-        let timed: Vec<(Result<ParmaSolution, ParmaError>, f64)> =
-            pool.map_indexed(measurements.len(), |i| {
-                let _item = mea_obs::span("parma/batch/item");
-                let _scope = mea_obs::events::item_scope(i as u64);
-                let z = &measurements[i];
-                let plan = lookup(&plans, z.grid());
-                let t0 = Instant::now();
-                let out = SCRATCH.with(|scratch| {
-                    let mut scratch = scratch.borrow_mut();
-                    scratch.set_intra_threads(intra_width(&budget, z.grid()));
-                    solver.solve_with_scratch(plan, z, None, &mut scratch)
-                });
-                (out, t0.elapsed().as_secs_f64() * 1e3)
+        let timed = pool.map_indexed(measurements.len(), |i| {
+            let _item = mea_obs::span("parma/batch/item");
+            let _scope = mea_obs::events::item_scope(i as u64);
+            let z = &measurements[i];
+            let plan = lookup(&plans, z.grid());
+            let t0 = Instant::now();
+            let out = SCRATCH.with(|scratch| {
+                let mut scratch = scratch.borrow_mut();
+                scratch.set_intra_threads(intra_width(&budget, z.grid()));
+                solver.solve_with_scratch(plan, z, None, &mut scratch)
             });
-        record_batch_obs(timed.iter().map(|(out, ms)| (out.is_err(), *ms)));
-        timed.into_iter().map(|(out, _)| out).collect()
+            (out, (i, t0.elapsed().as_secs_f64() * 1e3))
+        });
+        let (out, times): (Vec<_>, Vec<_>) = timed.into_iter().unzip();
+        record_batch_obs(&out, times);
+        out
     }
 
     /// Runs the full measurement-to-detection pipeline over every session,
@@ -133,16 +133,16 @@ impl BatchSolver {
         let pipeline = Pipeline::new(self.config, detection_factor)?;
         let _span = mea_obs::span("parma/batch");
         let pool = WorkStealingPool::new(self.threads);
-        let timed: Vec<(Result<Vec<TimePointResult>, ParmaError>, f64)> =
-            pool.map_indexed(datasets.len(), |i| {
-                let _item = mea_obs::span("parma/batch/item");
-                let _scope = mea_obs::events::item_scope(i as u64);
-                let t0 = Instant::now();
-                let out = pipeline.run(&datasets[i]);
-                (out, t0.elapsed().as_secs_f64() * 1e3)
-            });
-        record_batch_obs(timed.iter().map(|(out, ms)| (out.is_err(), *ms)));
-        Ok(timed.into_iter().map(|(out, _)| out).collect())
+        let timed = pool.map_indexed(datasets.len(), |i| {
+            let _item = mea_obs::span("parma/batch/item");
+            let _scope = mea_obs::events::item_scope(i as u64);
+            let t0 = Instant::now();
+            let out = pipeline.run(&datasets[i]);
+            (out, (i, t0.elapsed().as_secs_f64() * 1e3))
+        });
+        let (out, times): (Vec<_>, Vec<_>) = timed.into_iter().unzip();
+        record_batch_obs(&out, times);
+        Ok(out)
     }
 
     /// Supervised throughput solving: like [`Self::solve_all`] but items
@@ -188,7 +188,7 @@ impl BatchSolver {
             },
             &|_, _| {},
         );
-        record_supervised_obs(&times, &out, |r| r.is_err());
+        record_batch_obs(&out, times.into_inner().expect("batch timing lock"));
         out
     }
 
@@ -233,7 +233,7 @@ impl BatchSolver {
             },
             on_done,
         );
-        record_supervised_obs(&times, &out, |r| r.is_err());
+        record_batch_obs(&out, times.into_inner().expect("batch timing lock"));
         Ok(out)
     }
 
@@ -318,27 +318,23 @@ impl BatchSolver {
             },
             on_done,
         );
-        record_supervised_obs(&times, &out, |r| r.is_err());
+        record_batch_obs(&out, times.into_inner().expect("batch timing lock"));
         Ok(out)
     }
 }
 
-/// Emits the batch counters and the id-ordered wall-time series for a
-/// supervised run: the same schema as the plain path (`parma.batch.items`,
-/// `parma.batch.failures`, `parma.batch.item_ms`), with attempts beyond
-/// the first contributing extra timing samples under the same item id.
-fn record_supervised_obs<T>(
-    times: &Mutex<Vec<(usize, f64)>>,
-    out: &[Result<T, FailureReport>],
-    failed: impl Fn(&Result<T, FailureReport>) -> bool,
-) {
-    let mut times = times.lock().expect("batch timing lock").clone();
+/// Batch-level observability: item/failure counters (`parma.batch.items`,
+/// `parma.batch.failures`) plus the id-ordered per-item wall-time series
+/// `parma.batch.item_ms` (the schema the golden-trace test pins). `times`
+/// holds `(item id, ms)` samples; under supervision an item's retries add
+/// extra samples under its id.
+fn record_batch_obs<T, E>(out: &[Result<T, E>], mut times: Vec<(usize, f64)>) {
     times.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
     let ms: Vec<f64> = times.into_iter().map(|(_, ms)| ms).collect();
     mea_obs::counter_add("parma.batch.items", out.len() as u64);
     mea_obs::counter_add(
         "parma.batch.failures",
-        out.iter().filter(|r| failed(r)).count() as u64,
+        out.iter().filter(|r| r.is_err()).count() as u64,
     );
     for &v in &ms {
         ITEM_MS.record(v);
@@ -376,23 +372,6 @@ fn lookup(plans: &[SolvePlan], grid: MeaGrid) -> &SolvePlan {
         .iter()
         .find(|p| p.grid() == grid)
         .expect("every batch geometry has a plan by construction")
-}
-
-/// Batch-level observability: item/failure counters plus the id-ordered
-/// per-item wall-time series (the schema the golden-trace test pins).
-fn record_batch_obs(items: impl Iterator<Item = (bool, f64)>) {
-    let mut times = Vec::new();
-    let mut failures = 0u64;
-    for (failed, ms) in items {
-        times.push(ms);
-        failures += failed as u64;
-    }
-    mea_obs::counter_add("parma.batch.items", times.len() as u64);
-    mea_obs::counter_add("parma.batch.failures", failures);
-    for &v in &times {
-        ITEM_MS.record(v);
-    }
-    mea_obs::record_series("parma.batch.item_ms", &times);
 }
 
 #[cfg(test)]

@@ -47,7 +47,6 @@ pub mod error;
 pub mod formation;
 pub mod full_newton;
 pub mod manifold;
-pub mod newton;
 pub mod path_solver;
 pub mod persistence;
 pub mod pipeline;

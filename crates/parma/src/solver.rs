@@ -40,7 +40,7 @@
 
 use crate::config::ParmaConfig;
 use crate::error::ParmaError;
-use mea_linalg::{FactorPath, LinalgError, Parallelism, Sequential};
+use mea_linalg::{LinalgError, Parallelism, Sequential};
 use mea_model::{ForwardSolver, ForwardWorkspace, MeaGrid, ResistorGrid, ZMatrix};
 use mea_obs::events::{emit as emit_event, EventKind};
 use mea_obs::hist::Hist;
@@ -210,12 +210,6 @@ impl SolveScratch {
     /// The configured intra-solve width.
     pub fn intra_threads(&self) -> usize {
         self.intra
-    }
-
-    /// Overrides the factorization dispatch of the embedded workspace
-    /// (tests pin the structured path on small grids through this).
-    pub fn set_factor_path(&mut self, path: FactorPath) {
-        self.ws.set_factor_path(path);
     }
 }
 

@@ -47,7 +47,6 @@ mod gf2;
 mod homology;
 pub mod lattice;
 pub mod mea_complex;
-pub mod partition;
 pub mod persistence;
 mod simplex;
 
@@ -59,6 +58,5 @@ pub use cycles::{fundamental_cycles, CycleBasis, FundamentalCycle};
 pub use gf2::GF2Matrix;
 pub use homology::{betti_numbers, euler_characteristic, homology, HomologyGroup};
 pub use mea_complex::{mea_to_complex, MeaComplexReport};
-pub use partition::{partition_cycles, CyclePartition, CycleShare};
 pub use persistence::{persistence_barcode, Barcode, Filtration, PersistenceInterval};
 pub use simplex::Simplex;

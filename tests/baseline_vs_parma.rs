@@ -1,11 +1,11 @@
 //! Baseline-versus-Parma comparisons: the asymptotic blow-up the paper
 //! argues from (§II-C), and agreement between Parma's fixed point, the
-//! dense Newton cross-check and the exponential path baseline at small
-//! scales.
+//! analytic-Jacobian Gauss-Newton reference and the exponential path
+//! baseline at small scales.
 
 use mea_equations::{FormationCensus, PairTopology};
 use mea_model::{exact_path_count, paper_path_count};
-use parma::newton::newton_inverse;
+use parma::classical::{gauss_newton, GaussNewtonOptions};
 use parma::path_solver::PathTable;
 use parma::prelude::*;
 
@@ -44,17 +44,18 @@ fn equation_terms_scale_polynomially() {
 
 #[test]
 fn three_solvers_meet_on_small_arrays() {
-    // Parma fixed point vs dense-Jacobian Newton: same physics, same root.
+    // Parma fixed point vs analytic-Jacobian Gauss-Newton: same physics,
+    // same root.
     let grid = MeaGrid::square(4);
     let (truth, _) = AnomalyConfig::default().generate(grid, 2222);
     let z = ForwardSolver::new(&truth).unwrap().solve_all();
 
     let fixed = ParmaSolver::new(ParmaConfig::default()).solve(&z).unwrap();
-    let newton = newton_inverse(&z, &z, 1e-10, 80).unwrap();
+    let gn = gauss_newton(&z, &z, &GaussNewtonOptions::default()).unwrap();
 
     assert!(fixed.resistors.rel_max_diff(&truth) < 1e-6);
-    assert!(newton.rel_max_diff(&truth) < 1e-6);
-    assert!(newton.rel_max_diff(&fixed.resistors) < 1e-5);
+    assert!(gn.rel_max_diff(&truth) < 1e-6);
+    assert!(gn.rel_max_diff(&fixed.resistors) < 1e-5);
 }
 
 #[test]
