@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use crate::{journal, CliError, EXIT_QUARANTINED, EXIT_REGRESSION};
-use mea_equations::{form_all_equations, read_system, write_system, FormationCensus};
+use mea_equations::{read_system, stream_system, FormationCensus};
 use mea_model::{AnomalyConfig, ForwardSolver, MeaGrid, WetLabDataset};
 use mea_parallel::Strategy;
 use mea_topology::{fundamental_cycles, mea_complex};
@@ -977,11 +977,15 @@ pub fn equations<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let z = ForwardSolver::new(&truth)
         .map_err(|e| format!("forward solve failed: {e}"))?
         .solve_all();
-    let eqs = form_all_equations(&z, 5.0);
-    let census = FormationCensus::of(&eqs);
     let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path:?}: {e}"))?;
-    let bytes = write_system(&eqs, grid, std::io::BufWriter::new(file))
+    let (bytes, census) = stream_system(&z, 5.0, std::io::BufWriter::new(file))
         .map_err(|e| format!("write failed: {e}"))?;
+    let expected = FormationCensus::expected(grid);
+    if census != expected {
+        return Err(format!(
+            "formation census mismatch: streamed {census:?}, expected {expected:?}"
+        ));
+    }
     writeln!(
         out,
         "wrote {path}: {} equations ({} terms, {} bytes) across {} pairs \

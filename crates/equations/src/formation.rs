@@ -208,7 +208,7 @@ pub fn form_all_equations(z: &ZMatrix, voltage: f64) -> Vec<Equation> {
 }
 
 /// Census of a formed system — the counts §IV-A derives analytically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FormationCensus {
     /// Equations per category, indexed by [`ConstraintCategory::index`].
     pub per_category: [usize; 4],
@@ -221,17 +221,18 @@ pub struct FormationCensus {
 impl FormationCensus {
     /// Counts a formed equation list.
     pub fn of(equations: &[Equation]) -> Self {
-        let mut per_category = [0usize; 4];
-        let mut terms = 0usize;
+        let mut census = FormationCensus::default();
+        census.add(equations);
+        census
+    }
+
+    /// Adds a block of formed equations, e.g. one pair's, to the counts.
+    pub(crate) fn add(&mut self, equations: &[Equation]) {
         for e in equations {
-            per_category[e.category.index()] += 1;
-            terms += e.term_count();
+            self.per_category[e.category.index()] += 1;
+            self.terms += e.term_count();
         }
-        FormationCensus {
-            per_category,
-            equations: equations.len(),
-            terms,
-        }
+        self.equations += equations.len();
     }
 
     /// The analytic census for a grid, without forming anything.

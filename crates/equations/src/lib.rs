@@ -20,8 +20,8 @@
 //!   residual-validation APIs,
 //! * [`pair_topology`] — the Figure-4/5 equivalent topology (routes and
 //!   joint census),
-//! * [`writer`] — paper-style text rendering and bulk file output (the
-//!   Figure-9 I/O workload).
+//! * [`writer`] — paper-style text rendering and bulk file output, from a
+//!   formed system or streamed pair by pair (the Figure-9 I/O workload).
 
 pub mod constraint;
 pub mod formation;
@@ -41,4 +41,4 @@ pub use pair_topology::PairTopology;
 pub use reader::{read_system, ReadError};
 pub use system::EquationSystem;
 pub use unknowns::{Unknown, UnknownIndex};
-pub use writer::{render_equation, write_system};
+pub use writer::{render_equation, stream_system, write_system};

@@ -9,102 +9,284 @@
 //! ```text
 //! U/Z[A,I] = U/R[A,I] + (U - Ua[A,I,1])/R[A,II] + (U - Ua[A,I,2])/R[A,III]
 //! ```
+//!
+//! Everything is rendered by one byte renderer: a pair's header and its
+//! `2 + (cols−1) + (rows−1)` lines are appended to a reused `Vec<u8>` from
+//! name tables built once per grid (wires, resistors) and once per pair
+//! (`Ua`/`Ub` potentials), so rendering allocates nothing per equation.
+//! Each pair block reaches the sink as a single `write_all`.
+//! [`write_system`] renders an already formed system; [`stream_system`]
+//! forms and writes pair by pair, so the whole `Θ(n⁴)` system is never
+//! held in memory.
 
 use crate::constraint::{ConstraintCategory, Equation, PotentialRef};
-use mea_model::MeaGrid;
+use crate::formation::{form_pair_equations, FormationCensus};
+use mea_model::{MeaGrid, ZMatrix};
 use std::io::{self, Write};
 
-/// Renders one potential reference in paper notation for a given pair.
-fn render_potential(p: PotentialRef, grid: MeaGrid, pair: (u16, u16)) -> String {
-    let (i, j) = (pair.0 as usize, pair.1 as usize);
-    let pair_name = format!("{},{}", grid.horizontal_name(i), grid.vertical_name(j));
-    match p {
-        PotentialRef::Applied => "U".to_string(),
-        PotentialRef::Ground => "0".to_string(),
-        PotentialRef::Ua(kp) => format!("Ua[{},{}]", pair_name, kp + 1),
-        PotentialRef::Ub(mp) => format!("Ub[{},{}]", pair_name, mp + 1),
+/// Byte strings stored back to back in one buffer, looked up by index.
+struct ByteTable {
+    bytes: Vec<u8>,
+    starts: Vec<usize>,
+}
+
+impl ByteTable {
+    fn new() -> Self {
+        ByteTable {
+            bytes: Vec::new(),
+            starts: vec![0],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.starts.truncate(1);
+    }
+
+    /// Appends one entry written by `f`.
+    fn push_with(&mut self, f: impl FnOnce(&mut Vec<u8>)) {
+        f(&mut self.bytes);
+        self.starts.push(self.bytes.len());
+    }
+
+    fn get(&self, idx: usize) -> Option<&[u8]> {
+        let end = *self.starts.get(idx + 1)?;
+        Some(&self.bytes[self.starts[idx]..end])
     }
 }
 
-fn render_resistor(grid: MeaGrid, r: (u16, u16)) -> String {
-    format!(
-        "R[{},{}]",
-        grid.horizontal_name(r.0 as usize),
-        grid.vertical_name(r.1 as usize)
-    )
+/// The names a rendering reuses: every wire name and every `/R[h,v]` of
+/// the grid, built once, and the `Ua[h,v,k]`/`Ub[h,v,m]` potentials of one
+/// pair, rebuilt by [`Names::set_pair`]. Terms are then copied as a few
+/// byte slices instead of recomputing letters, Roman numerals and indices
+/// per term.
+struct Names {
+    horizontal: Vec<String>,
+    vertical: Vec<String>,
+    resistors: ByteTable,
+    ua: ByteTable,
+    ub: ByteTable,
 }
 
-/// Renders one equation in the paper's notation.
-pub fn render_equation(eq: &Equation, grid: MeaGrid) -> String {
-    let (i, j) = (eq.pair.0 as usize, eq.pair.1 as usize);
-    let lhs = match eq.category {
-        ConstraintCategory::Source | ConstraintCategory::Destination => {
-            format!("U/Z[{},{}]", grid.horizontal_name(i), grid.vertical_name(j))
+impl Names {
+    fn new(grid: MeaGrid) -> Self {
+        let horizontal: Vec<String> = (0..grid.rows()).map(|i| grid.horizontal_name(i)).collect();
+        let vertical: Vec<String> = (0..grid.cols()).map(|j| grid.vertical_name(j)).collect();
+        let mut resistors = ByteTable::new();
+        for h in &horizontal {
+            for v in &vertical {
+                resistors.push_with(|b| {
+                    b.extend_from_slice(b"/R[");
+                    push_crossing(b, h, v);
+                    b.push(b']');
+                });
+            }
         }
-        ConstraintCategory::IntermediateUa | ConstraintCategory::IntermediateUb => "0".to_string(),
-    };
-    let mut rhs = String::new();
-    for (idx, t) in eq.terms.iter().enumerate() {
-        let sign = if t.sign >= 0 { "+" } else { "-" };
-        if idx > 0 || t.sign < 0 {
-            rhs.push_str(sign);
-            rhs.push(' ');
+        Names {
+            horizontal,
+            vertical,
+            resistors,
+            ua: ByteTable::new(),
+            ub: ByteTable::new(),
         }
-        let numerator = match (t.from, t.to) {
-            (f, PotentialRef::Ground) => render_potential(f, grid, eq.pair),
-            (f, to) => format!(
-                "({} - {})",
-                render_potential(f, grid, eq.pair),
-                render_potential(to, grid, eq.pair)
-            ),
+    }
+
+    /// Row and column names of a crossing.
+    fn crossing(&self, (i, j): (u16, u16)) -> (&str, &str) {
+        (&self.horizontal[i as usize], &self.vertical[j as usize])
+    }
+
+    /// Rebuilds the potential names for `pair`; lines of that pair render
+    /// from them until the next call.
+    fn set_pair(&mut self, pair: (u16, u16)) {
+        let (h, v) = (
+            &self.horizontal[pair.0 as usize],
+            &self.vertical[pair.1 as usize],
+        );
+        for (table, prefix, count) in [
+            (&mut self.ua, b"Ua[", self.vertical.len() - 1),
+            (&mut self.ub, b"Ub[", self.horizontal.len() - 1),
+        ] {
+            table.clear();
+            for idx in 0..count {
+                table.push_with(|b| push_potential_name(b, prefix, h, v, idx));
+            }
+        }
+    }
+
+    fn push_potential(&self, buf: &mut Vec<u8>, p: PotentialRef, pair: (u16, u16)) {
+        let (table, prefix, idx) = match p {
+            PotentialRef::Applied => return buf.push(b'U'),
+            PotentialRef::Ground => return buf.push(b'0'),
+            PotentialRef::Ua(kp) => (&self.ua, b"Ua[", kp as usize),
+            PotentialRef::Ub(mp) => (&self.ub, b"Ub[", mp as usize),
         };
-        rhs.push_str(&numerator);
-        rhs.push('/');
-        rhs.push_str(&render_resistor(grid, t.resistor));
-        rhs.push(' ');
+        match table.get(idx) {
+            Some(name) => buf.extend_from_slice(name),
+            // Only hand-built equations index past the wires of the grid.
+            None => {
+                let (h, v) = self.crossing(pair);
+                push_potential_name(buf, prefix, h, v, idx)
+            }
+        }
     }
-    format!("{lhs} = {}", rhs.trim_end())
+
+    /// Appends one equation, without the newline; `set_pair(eq.pair)`
+    /// must have been the last `set_pair` call.
+    fn render_line(&self, buf: &mut Vec<u8>, eq: &Equation) {
+        match eq.category {
+            ConstraintCategory::Source | ConstraintCategory::Destination => {
+                let (h, v) = self.crossing(eq.pair);
+                buf.extend_from_slice(b"U/Z[");
+                push_crossing(buf, h, v);
+                buf.extend_from_slice(b"] = ");
+            }
+            ConstraintCategory::IntermediateUa | ConstraintCategory::IntermediateUb => {
+                buf.extend_from_slice(b"0 = ")
+            }
+        }
+        for (idx, t) in eq.terms.iter().enumerate() {
+            buf.extend_from_slice(match (idx, t.sign < 0) {
+                (0, false) => b"",
+                (0, true) => b"- ",
+                (_, false) => b" + ",
+                (_, true) => b" - ",
+            });
+            if t.to == PotentialRef::Ground {
+                self.push_potential(buf, t.from, eq.pair);
+            } else {
+                buf.push(b'(');
+                self.push_potential(buf, t.from, eq.pair);
+                buf.extend_from_slice(b" - ");
+                self.push_potential(buf, t.to, eq.pair);
+                buf.push(b')');
+            }
+            let (r, c) = (t.resistor.0 as usize, t.resistor.1 as usize);
+            let cols = self.vertical.len();
+            assert!(c < cols, "column out of range");
+            let name = self.resistors.get(r * cols + c).expect("row out of range");
+            buf.extend_from_slice(name);
+        }
+    }
+
+    /// Appends one pair block to `buf`: the header comment (voltage and
+    /// `U/Z` taken from the block's first equation) and one line per
+    /// equation. All equations must belong to the first one's pair.
+    fn render_pair(&mut self, buf: &mut Vec<u8>, eqs: &[Equation]) {
+        let Some(first) = eqs.first() else { return };
+        self.set_pair(first.pair);
+        let (h, v) = self.crossing(first.pair);
+        writeln!(
+            buf,
+            "# pair ({h}, {v}): U = {} V, U/Z = {:.9e} mA",
+            first.voltage,
+            first.rhs.max(0.0)
+        )
+        .expect("writing into a Vec cannot fail");
+        for eq in eqs {
+            self.render_line(buf, eq);
+            buf.push(b'\n');
+        }
+    }
+}
+
+/// Appends `h,v`: a crossing inside `R[…]`, `U/Z[…]` or a potential name.
+fn push_crossing(buf: &mut Vec<u8>, h: &str, v: &str) {
+    buf.extend_from_slice(h.as_bytes());
+    buf.push(b',');
+    buf.extend_from_slice(v.as_bytes());
+}
+
+/// Appends `Ua[h,v,k]` (or `Ub[…]`) for compressed index `idx`, 1-based
+/// in the text.
+fn push_potential_name(buf: &mut Vec<u8>, prefix: &[u8], h: &str, v: &str, idx: usize) {
+    buf.extend_from_slice(prefix);
+    push_crossing(buf, h, v);
+    buf.push(b',');
+    push_uint(buf, idx + 1);
+    buf.push(b']');
+}
+
+/// Appends the decimal digits of `v` without allocating.
+fn push_uint(buf: &mut Vec<u8>, mut v: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[at..]);
+}
+
+/// Renders one equation in the paper's notation. Builds the grid's name
+/// table on every call; bulk output goes through [`write_system`].
+pub fn render_equation(eq: &Equation, grid: MeaGrid) -> String {
+    let mut names = Names::new(grid);
+    names.set_pair(eq.pair);
+    let mut buf = Vec::new();
+    names.render_line(&mut buf, eq);
+    String::from_utf8(buf).expect("wire names and literals are ASCII")
 }
 
 /// Writes every equation of a formed system to `w`, one per line, grouped
 /// by pair with a header comment per pair — the Figure-9 workload. Returns
 /// the number of bytes written.
 ///
-/// Callers should hand in a buffered writer; the function writes line by
-/// line (hundreds of thousands of lines at `n = 100`).
+/// Each pair block is rendered into one reused buffer and handed to `w` in
+/// a single `write_all`, so small grids still profit from a buffered `w`.
 pub fn write_system<W: Write>(
     equations: &[Equation],
     grid: MeaGrid,
     mut w: W,
 ) -> io::Result<usize> {
+    let mut names = Names::new(grid);
+    let mut buf = Vec::new();
     let mut bytes = 0usize;
-    let mut current_pair: Option<(u16, u16)> = None;
-    for eq in equations {
-        if current_pair != Some(eq.pair) {
-            current_pair = Some(eq.pair);
-            let header = format!(
-                "# pair ({}, {}): U = {} V, U/Z = {:.9e} mA\n",
-                grid.horizontal_name(eq.pair.0 as usize),
-                grid.vertical_name(eq.pair.1 as usize),
-                eq.voltage,
-                eq.rhs.max(0.0)
-            );
-            w.write_all(header.as_bytes())?;
-            bytes += header.len();
-        }
-        let line = render_equation(eq, grid);
-        w.write_all(line.as_bytes())?;
-        w.write_all(b"\n")?;
-        bytes += line.len() + 1;
+    for block in equations.chunk_by(|a, b| a.pair == b.pair) {
+        buf.clear();
+        names.render_pair(&mut buf, block);
+        w.write_all(&buf)?;
+        bytes += buf.len();
     }
     w.flush()?;
     Ok(bytes)
 }
 
+/// Forms and writes the whole array's system pair by pair, in
+/// [`MeaGrid::pair_iter`] order: the bytes equal
+/// `write_system(&form_all_equations(z, voltage), ..)`, but only one
+/// pair's equations are held at a time. Returns the bytes written and the
+/// census of the equations formed on the way.
+pub fn stream_system<W: Write>(
+    z: &ZMatrix,
+    voltage: f64,
+    mut w: W,
+) -> io::Result<(usize, FormationCensus)> {
+    let grid = z.grid();
+    let mut names = Names::new(grid);
+    let mut census = FormationCensus::default();
+    let mut buf = Vec::new();
+    let mut bytes = 0usize;
+    for (i, j) in grid.pair_iter() {
+        let eqs = form_pair_equations(grid, i, j, voltage, z.get(i, j));
+        census.add(&eqs);
+        buf.clear();
+        names.render_pair(&mut buf, &eqs);
+        w.write_all(&buf)?;
+        bytes += buf.len();
+    }
+    w.flush()?;
+    Ok((bytes, census))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formation::{form_all_equations, form_pair_equations};
+    use crate::formation::form_all_equations;
     use mea_model::CrossingMatrix;
 
     #[test]
@@ -141,6 +323,17 @@ mod tests {
             );
             assert!(s.contains("- "), "must contain outflow terms: {s}");
         }
+    }
+
+    #[test]
+    fn potentials_beyond_the_grid_still_render() {
+        let grid = MeaGrid::square(2);
+        let mut eq = form_pair_equations(grid, 0, 0, 5.0, 1000.0).remove(0);
+        eq.terms[1].to = PotentialRef::Ua(7);
+        assert_eq!(
+            render_equation(&eq, grid),
+            "U/Z[A,I] = U/R[A,I] + (U - Ua[A,I,8])/R[A,II]"
+        );
     }
 
     #[test]
